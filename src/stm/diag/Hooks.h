@@ -95,6 +95,15 @@ enum class Inject : unsigned {
   /// post-release counter sample, re-opening the reclamation UAF
   /// window against invisible readers of an owned stripe's old value.
   RstmStampRetireTag,
+  /// RSTM bug: commit mints its stamp before it flags its stripes as
+  /// committing, so a reader that begins after the stamp can take an
+  /// owned stripe's old value and a written-back value of another, and
+  /// the gv1 "counter unmoved" heuristic never re-checks the pair.
+  RstmStampBeforeFlag,
+  /// RSTM bug: validation accepts a foreign owned word without checking
+  /// the owner's episode, so a read of one acquisition's old value
+  /// survives the owner's commit and its next acquisition of the stripe.
+  RstmEpisodeSkip,
   /// orec bug class: rollback releases the orecs without unwinding the
   /// undo log, leaving an aborted writer's in-place speculative values
   /// in memory — the dirty-read exposure the undo-log-aware opacity

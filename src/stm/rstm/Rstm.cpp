@@ -73,11 +73,24 @@ void RstmTx::maybeValidate() {
 }
 
 bool RstmTx::validateReadSet() {
+  const Word Mine = reinterpret_cast<Word>(this) | 1;
   for (const ReadEntry &R : ReadLog) {
     Word Cur = R.Rec->Owner.load(std::memory_order_acquire);
-    if (Cur == R.Seen)
-      continue;
-    if (orecIsOwned(Cur) && orecOwner(Cur) == this) {
+    if (Cur == R.Seen) {
+      // A foreign owned word names the owner, not the acquisition: the
+      // old value we read is still current only while the owner is in
+      // the episode we read it in.
+      if (!orecIsOwned(Cur) || orecOwner(Cur) == this ||
+          STM_DIAG_INJECTED(RstmEpisodeSkip) ||
+          orecOwner(Cur)->Episode.load(std::memory_order_acquire) ==
+              R.Episode)
+        continue;
+    } else if (orecIsOwned(Cur) && orecOwner(Cur) == this) {
+      // Read after our own acquisition, now possibly flagged committing
+      // by our own commit: our writes sit in the redo log, so memory
+      // still holds the value we read.
+      if (R.Seen == Mine)
+        continue;
       // We acquired this stripe after reading it: valid iff nothing
       // committed in between, i.e. the pre-acquisition version matches
       // what we read.
@@ -144,26 +157,34 @@ Word RstmTx::load(const Word *Addr) {
   // Invisible read: consistent (orec, value, orec) snapshot; an owned
   // but not-yet-committing stripe still holds the old (committed)
   // values in memory, so it may be read -- this mirrors RSTM's reads
-  // of an object's old clone.
+  // of an object's old clone. Such a read is tied to the owner's
+  // current episode, sampled around the value load like a seqlock.
   Word V1 = Rec.Owner.load(std::memory_order_acquire);
   Word Value;
+  uint64_t Episode;
   unsigned SpinStep = 0;
   while (true) {
     STM_DIAG_HOOK(Slot, Read, GlobalState.Table.indexOfEntry(&Rec), V1);
-    if (orecIsCommitting(V1) && orecOwner(V1) != this) {
+    RstmTx *Other =
+        orecIsOwned(V1) && orecOwner(V1) != this ? orecOwner(V1) : nullptr;
+    if (Other != nullptr && orecIsCommitting(V1)) {
       checkKill();
       repro::spinWait(SpinStep);
       V1 = Rec.Owner.load(std::memory_order_acquire);
       continue;
     }
+    Episode =
+        Other != nullptr ? Other->Episode.load(std::memory_order_acquire) : 0;
     Value = racyLoad(Addr);
     Word V2 = Rec.Owner.load(std::memory_order_acquire);
-    if (V1 == V2)
+    if (V1 == V2 && (Other == nullptr ||
+                     Other->Episode.load(std::memory_order_acquire) ==
+                         Episode))
       break;
     V1 = V2;
   }
 
-  ReadLog.push_back(ReadEntry{&Rec, V1});
+  ReadLog.push_back(ReadEntry{&Rec, V1, Episode});
   maybeValidate();
   return Value;
 }
@@ -265,6 +286,15 @@ void RstmTx::commit() {
     for (const WriteEntry &W : WriteLog)
       acquireOrec(GlobalState.Table.entryFor(W.Addr));
 
+  // Enter write-back before minting the stamp: a reader whose begin
+  // sample covers the stamp must find every stripe of ours committing,
+  // or it could take an old value that the gv1 "counter unmoved"
+  // heuristic would then never re-check. The regression knob restores
+  // the old stamp-first order.
+  const bool StampFirst = STM_DIAG_INJECTED(RstmStampBeforeFlag);
+  if (!StampFirst)
+    enterWriteBack();
+
   // Commit timestamp under the configured clock policy.
   CommitStamp Stamp = takeCommitStamp(GlobalState.CommitCounter, [this] {
     uint64_t MaxOverwritten = 0;
@@ -287,20 +317,15 @@ void RstmTx::commit() {
       !revalidate())
     rollback();
 
-  // Enter write-back: flag every owned stripe as committing, then make
-  // sure no visible reader still depends on the old values.
-  Word Committing = reinterpret_cast<Word>(this) | 3;
-  for (const AcquiredOrec &A : Acquired)
-    A.Rec->Owner.store(Committing, std::memory_order_release);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  for (const AcquiredOrec &A : Acquired)
-    resolveVisibleReaders(*A.Rec);
+  if (StampFirst)
+    enterWriteBack();
 
   for (const WriteEntry &W : WriteLog) {
     STM_DIAG_HOOK(Slot, WriteBack, GlobalState.Table.indexFor(W.Addr), Ts);
     racyStore(W.Addr, W.Value);
   }
 
+  endEpisode();
   Word Release = orecMake(Ts);
   for (const AcquiredOrec &A : Acquired)
     A.Rec->Owner.store(Release, std::memory_order_release);
@@ -321,14 +346,14 @@ void RstmTx::commit() {
   // Retire tag: a counter sample from *after* the release, not the
   // stamp. Unlike the other backends, an RSTM invisible reader may take
   // an owned-but-not-yet-committing stripe's old value — including a
-  // pointer this commit is about to unlink and txFree — so a
-  // transaction that began after our stamp was minted (its start
-  // timestamp exceeds Ts once the counter outruns a still-committing
-  // writer, routine under gv5 and a narrow increment-to-write-back
-  // window under gv1) can still hold the old pointer. Any transaction
-  // whose published start exceeds this post-release sample either began
-  // after the unlink was visible or revalidated past it (equality check
-  // fails on the released orec), so the quiescence horizon is sound.
+  // pointer this commit is about to unlink and txFree. Under gv1 such a
+  // reader began before our stamp (the stripes were flagged committing
+  // first), but under gv5 the counter can outrun a writer that has not
+  // yet flagged its stripes, so a reader whose published start exceeds
+  // Ts can still hold the old pointer. Any transaction whose published
+  // start exceeds this post-release sample either began after the
+  // unlink was visible or revalidated past it (equality check fails on
+  // the released orec), so the quiescence horizon is sound.
   uint64_t RetireTag = GlobalState.CommitCounter.load();
   // The PR 5 regression knob resurrects the original bug: tagging
   // retired blocks with the commit stamp instead of the post-release
@@ -338,7 +363,20 @@ void RstmTx::commit() {
   baseCommit(RetireTag);
 }
 
+void RstmTx::enterWriteBack() {
+  Word Committing = reinterpret_cast<Word>(this) | 3;
+  for (const AcquiredOrec &A : Acquired)
+    A.Rec->Owner.store(Committing, std::memory_order_release);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  for (const AcquiredOrec &A : Acquired)
+    resolveVisibleReaders(*A.Rec);
+}
+
 void RstmTx::rollback() {
+  // A new episode before the orecs go back: a reader of our old owned
+  // word must not accept our next acquisition of the stripe, which may
+  // follow another transaction's commit of it.
+  endEpisode();
   for (const AcquiredOrec &A : Acquired)
     A.Rec->Owner.store(A.OldValue, std::memory_order_release);
   uint64_t MyBit = uint64_t(1) << Slot;

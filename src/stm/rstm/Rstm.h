@@ -31,6 +31,23 @@
 //   descriptor | 1           owned (memory still holds the old values)
 //   descriptor | 3           owner committing (write-back in progress)
 //
+// An owned word names the owner, not one acquisition: a descriptor
+// that commits (or rolls back) and takes the stripe again writes the
+// very same descriptor|1. An invisible reader that takes an owned
+// stripe's old value therefore also records the owner's *episode*, a
+// per-descriptor counter the owner bumps on every release (after
+// write-back in commit, and in rollback) before its release stores.
+// The reader samples it before and after the value load, seqlock
+// style, and validation accepts the entry only while the owner is
+// still in that episode — a later acquisition by the same owner,
+// whether after its own commit or after a third transaction committed
+// the stripe in between, fails validation.
+//
+// Commit flags every owned stripe as committing *before* it mints its
+// stamp, so a transaction whose begin sample already covers the stamp
+// can never take one of the committer's old values; the gv1
+// "counter unmoved, still valid" heuristic relies on that.
+//
 //
 // INTERNAL HEADER — deprecated as an application include. The public
 // surface is stm/Stm.h (stm::Runtime + stm::atomically); select this
@@ -132,6 +149,9 @@ private:
   struct ReadEntry {
     Orec *Rec;
     Word Seen;
+    /// The owner's episode when Seen is another descriptor's owned
+    /// word (the read took the old value); 0 otherwise.
+    uint64_t Episode;
   };
 
   [[noreturn]] void rollback();
@@ -154,7 +174,23 @@ private:
   /// killing them per the contention manager.
   void resolveVisibleReaders(Orec &Rec);
 
+  /// Flags every acquired stripe as committing (write-back begins) and
+  /// waits out the visible readers that still depend on the old values.
+  void enterWriteBack();
+
+  /// Ends the current acquisition episode: called once write-back is
+  /// done (or on rollback), before the orecs are released. Only the
+  /// owner writes Episode, so a plain store suffices.
+  void endEpisode() {
+    Episode.store(Episode.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_release);
+  }
+
   core::ContentionManager<core::TwoPhaseMode::AsPolka> Cm;
+
+  /// Acquisition episode, read by invisible readers of our owned
+  /// stripes (see the orec encoding above).
+  std::atomic<uint64_t> Episode{0};
 
   std::vector<ReadEntry> ReadLog;
   std::vector<Orec *> VisibleReads;

@@ -131,7 +131,10 @@ public:
       afterCommitDynamic();
   }
 
-  [[noreturn]] void restart() { CurOps->Restart(Cur); }
+  [[noreturn]] void restart() {
+    CurOps->Restart(Cur); // every backend's Restart longjmps
+    __builtin_unreachable();
+  }
 
   /// Batch admission (see workloads/server): pins this slot's
   /// reclamation epoch once for a run of back-to-back transactions, so

@@ -268,10 +268,11 @@ void runHistoryCheck(
     for (auto &H : PerThread)
       for (Attempt &A : H)
         History.push_back(std::move(A));
-    if (RequireAborts)
+    if (RequireAborts) {
       EXPECT_GT(History.size(), uint64_t(Threads) * TxPerThread)
           << STM::name() << ": run produced no aborted attempts — the "
           << "checker exercised no contention";
+    }
     checkHistory(History, STM::name());
   }
   STM::globalShutdown();

@@ -19,8 +19,11 @@
 //       - PR 1: the TinySTM/TL2 self-locked-stripe validation bug;
 //       - PR 5: the RSTM retire-tag reclamation window, driven by a
 //         hand-written schedule that parks the writer between its
-//         commit stamp and write-back (the exact window the fix
-//         closed), with a trace oracle over the replay log.
+//         commit stamp and write-back while a reader begins past the
+//         stamp, with a trace oracle over the replay log;
+//       - RSTM opacity on multicore: a commit stamp minted before the
+//         committing flags, and an owned word accepted without the
+//         owner's episode, each replayed as a torn reader snapshot.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +31,7 @@
 
 #include "stm/diag/Hooks.h"
 #include "stm/diag/Schedule.h"
+#include "stm/rstm/Rstm.h"
 
 #include <algorithm>
 #include <array>
@@ -465,6 +469,18 @@ TEST(ScheduleReplayStressTest, RepeatedRecordReplayRounds) {
 // Regression schedules: injected historical bugs (STM_DIAG builds)
 //===----------------------------------------------------------------------===//
 
+/// Barrier step for hand-written schedules: run \p Tid until it parks
+/// at \p Kind (on \p Stripe, if given); see Step::Until.
+Step untilStep(uint32_t Tid, HookKind Kind,
+               uint64_t Stripe = stm::diag::NoStripe) {
+  Step St;
+  St.Tid = Tid;
+  St.Kind = Kind;
+  St.Stripe = Stripe;
+  St.Until = true;
+  return St;
+}
+
 /// Enumerates every serialized schedule of two concurrent read-modify-
 /// write increments of one shared word under \p Kind, optionally with a
 /// fault-injection knob armed, and reports whether any schedule lost an
@@ -585,19 +601,24 @@ bool retireOracleViolated(const std::vector<Event> &Log) {
 
 /// Replays the PR 5 interleaving against RSTM under gv5 and runs the
 /// oracle over the serialized log. The hand-written schedule parks the
-/// writer W at its commit-stamp hook — stamp minted, P's orec still
-/// owned-but-not-committing, which is the window in which an invisible
-/// reader may still take the stripe's old value — while a second
-/// committer drags the deferred counter past W's stamp and the reader
-/// then begins (publishing a start past the stamp) and reads P's old
-/// value:
+/// writer W at its commit-stamp hook — stamp minted, P's orec already
+/// flagged committing — while a second committer drags the deferred
+/// counter past W's stamp and the reader then begins, publishing a
+/// start past the stamp, and parks at its read of P across W's retire:
 ///
 ///   W(0): Begin, Acquire(P)+txFree, mint stamp Ts  | parked at stamp
 ///   R(2): Begin, Read(Z)                           | dummy tx parked
 ///   C(1): two full increments of Q -> counter advances past Ts
-///   R(2): finish dummy; Begin (start > Ts), Read(P old value)
+///   R(2): finish dummy; Begin (start > Ts)         | parked at Read(P)
 ///   W(0): Validate, WriteBack, release, Retire(tag), Commit
-///   R(2): Commit
+///   R(2): Read(P new value), Commit
+///
+/// R no longer takes P's old value here (the committing flag now comes
+/// before the stamp), and it must not be asked to: it would spin on the
+/// committing orec while W is parked. What the oracle guards is the
+/// published-start horizon — a reader live across the retire with a
+/// start past the stamp under gv5, which is also how a reader that took
+/// an old value before W flagged its stripes looks.
 ///
 /// The steps are Until barriers ("run this thread until it parks at
 /// that hook"), so the data-dependent filler hooks RSTM emits along
@@ -631,42 +652,33 @@ RetireTagRun runRetireTagSchedule(bool InjectOldBug) {
   if (InjectOldBug)
     Guard.emplace(stm::diag::Inject::RstmStampRetireTag);
 
-  auto Until = [](uint32_t Tid, HookKind Kind) {
-    Step St;
-    St.Tid = Tid;
-    St.Kind = Kind;
-    St.Until = true;
-    return St;
-  };
   // An Until barrier on a hook the thread never fires (Retire needs
   // pending frees; C never calls txFree) degenerates to "run this
   // thread to completion".
-  auto UntilDone = [&Until](uint32_t Tid) {
-    return Until(Tid, HookKind::Retire);
+  auto UntilDone = [](uint32_t Tid) {
+    return untilStep(Tid, HookKind::Retire);
   };
   std::vector<Step> Steps;
-  // W mints its commit stamp and parks AT the commit-stamp hook: P's
-  // orec is owned but not yet committing, so invisible readers still
-  // take the old value.
-  Steps.push_back(Until(0, HookKind::CommitStamp));
+  // W mints its commit stamp and parks AT the commit-stamp hook, with
+  // P's orec flagged committing.
+  Steps.push_back(untilStep(0, HookKind::CommitStamp));
   // R's dummy transaction runs up to (not through) its commit, so R's
   // next begin is the serialized step that samples the clock.
-  Steps.push_back(Until(2, HookKind::Commit));
+  Steps.push_back(untilStep(2, HookKind::Commit));
   // C runs two complete increments of Q: under gv5 each commit
   // publishes its stamp via advanceTo, dragging the counter past Ts.
   Steps.push_back(UntilDone(1));
   // R finishes the dummy tx and begins again — the new start samples
   // the advanced counter, so it is published PAST W's stamp.
-  Steps.push_back(Until(2, HookKind::Begin));
-  // R reads P's old value (W still owns the stripe, not committing)
-  // and parks at its commit.
-  Steps.push_back(Until(2, HookKind::Commit));
+  Steps.push_back(untilStep(2, HookKind::Begin));
+  // R parks at its read of P, before it touches the committing orec.
+  Steps.push_back(untilStep(2, HookKind::Read));
   // W finishes its commit — validate, write back, release — and parks
   // at the retire hook with the tag already computed.
-  Steps.push_back(Until(0, HookKind::Retire));
+  Steps.push_back(untilStep(0, HookKind::Retire));
   // Steps exhausted: the deterministic round-robin tail logs W's
-  // retire, then R's commit — R is live across the retire, exactly
-  // the ordering the oracle interrogates.
+  // retire, then R's read and commit — R is live across the retire,
+  // exactly the ordering the oracle interrogates.
 
   Schedule &Sched = Schedule::instance();
   Schedule::ReplayOptions Opts;
@@ -745,6 +757,186 @@ TEST(DiagReplayTest, Pr5RstmRetireTagRegression) {
 }
 
 //===----------------------------------------------------------------------===//
+// RSTM opacity: the stamp-before-flag window and the owned-word ABA
+//===----------------------------------------------------------------------===//
+
+/// Outcome of one replayed writer/reader pair over two stripes X and Y
+/// that every committed state keeps equal.
+struct TornReadRun {
+  bool Torn = false; ///< a reader body saw X != Y
+  bool Stalled = false;
+  stm::Word X = 0, Y = 0;
+};
+
+/// Sets up RSTM (eager acquire, invisible reads, gv1 — the policy whose
+/// "counter unmoved" heuristic skips revalidation), replays the schedule
+/// \p MakeSteps builds over writer 0 and reader 1, and tears the runtime
+/// down. \p MakeSteps receives the lock-table indices of Y and the two
+/// spare cells, so the schedule can name per-stripe hooks, and with
+/// \p Knob set the run has that fault injected. The reader runs a dummy
+/// transaction (reading Z) and then loads X and Y, flagging a torn
+/// pair: a transaction samples its start before its Begin hook, so only
+/// a second transaction's start is sampled inside the schedule. The
+/// writer runs \p WriterTxns (at most two) transactions, the K-th
+/// storing K+1 into X and Y and then reading spare cell K (a
+/// per-transaction hook the schedule can park the writer at while it
+/// owns both stripes).
+template <typename MakeStepsFn>
+TornReadRun runTornReadSchedule(std::optional<stm::diag::Inject> Knob,
+                                unsigned WriterTxns, MakeStepsFn MakeSteps) {
+  stm::StmConfig Config;
+  Config.Backend = stm::rt::BackendKind::Rstm;
+  Config.Adaptive = false;
+  Config.Clock = stm::ClockKind::Gv1;
+  Config.RstmEagerAcquire = true;
+  Config.RstmVisibleReads = false;
+  Config.LockTableSizeLog2 = 16;
+  stm::StmRuntime::globalInit(Config);
+
+  alignas(64) static stm::Word X;
+  alignas(64) static stm::Word Y;
+  alignas(64) static stm::Word Z;
+  alignas(64) static stm::Word Spare0;
+  alignas(64) static stm::Word Spare1;
+  X = Y = Z = Spare0 = Spare1 = 0;
+  stm::Word *Spare[2] = {&Spare0, &Spare1};
+
+  const auto &Table = stm::rstm::rstmGlobals().Table;
+  std::vector<Step> Steps = MakeSteps(
+      Table.indexFor(&Y), Table.indexFor(&Spare0), Table.indexFor(&Spare1));
+
+  std::optional<InjectGuard> Guard;
+  if (Knob)
+    Guard.emplace(*Knob);
+
+  Schedule &Sched = Schedule::instance();
+  Schedule::ReplayOptions Opts;
+  Opts.TimeoutMs = 60000;
+  Opts.ExpectedThreads = 2;
+  Sched.startReplay(Steps, Opts);
+
+  std::atomic<bool> Torn{false};
+  runBoundThreads(2, [&](unsigned I, auto &Tx) {
+    if (I == 0) {
+      for (unsigned K = 0; K < WriterTxns; ++K)
+        stm::atomically(Tx, [&](auto &T) {
+          T.store(&X, K + 1);
+          T.store(&Y, K + 1);
+          (void)T.load(Spare[K]);
+        });
+    } else {
+      stm::atomically(Tx, [&](auto &T) { (void)T.load(&Z); });
+      stm::atomically(Tx, [&](auto &T) {
+        stm::Word A = T.load(&X);
+        stm::Word B = T.load(&Y);
+        if (A != B)
+          Torn.store(true);
+      });
+    }
+  });
+
+  TornReadRun Run;
+  Sched.stopReplay();
+  Run.Stalled = Sched.stalled();
+  Run.Torn = Torn.load();
+  Run.X = X;
+  Run.Y = Y;
+  Guard.reset();
+  stm::StmRuntime::globalShutdown();
+  return Run;
+}
+
+/// Stamp before flag: a commit that mints its stamp before flagging its
+/// stripes as committing lets a reader begin with the new counter as
+/// its valid-ts and take X's old value; once the writer is done, the
+/// reader's read of Y sees the counter unmoved and skips revalidation.
+///
+///   R(1): dummy transaction                    | parked at its Commit
+///   W(0): Begin, Acquire(X), Acquire(Y), Read(spare), stamp | parked
+///   R(1): Commit dummy, Begin (start = stamp)  | parked at Read(X)
+///   R(1): one segment: honest -> X committing, spin, Read(X) again;
+///         injected -> X's old value, parked at Read(Y)
+///   W(0): write back, release, Commit
+///   R(1): Read(Y) (the new value), Commit
+///
+/// The single-segment step keeps the honest run from being asked to get
+/// past the committing orec while W is parked.
+TornReadRun runStampBeforeFlagSchedule(bool InjectOldBug) {
+  return runTornReadSchedule(
+      InjectOldBug ? std::optional(stm::diag::Inject::RstmStampBeforeFlag)
+                   : std::nullopt,
+      /*WriterTxns=*/1, [](uint64_t, uint64_t, uint64_t) {
+        std::vector<Step> Steps;
+        Steps.push_back(untilStep(1, HookKind::Commit));
+        Steps.push_back(untilStep(0, HookKind::CommitStamp));
+        Steps.push_back(untilStep(1, HookKind::Read));
+        Step OneSegment;
+        OneSegment.Tid = 1;
+        OneSegment.AnyKind = true;
+        Steps.push_back(OneSegment);
+        // W has no frees: the Retire barrier means "run to completion".
+        Steps.push_back(untilStep(0, HookKind::Retire));
+        return Steps;
+      });
+}
+
+TEST(DiagReplayTest, RstmStampBeforeFlagRegression) {
+  TornReadRun Fixed = runStampBeforeFlagSchedule(/*InjectOldBug=*/false);
+  EXPECT_FALSE(Fixed.Stalled);
+  EXPECT_FALSE(Fixed.Torn)
+      << "reader took an old value of a writer whose stamp it had seen";
+  EXPECT_EQ(1u, Fixed.X);
+  EXPECT_EQ(1u, Fixed.Y);
+
+  TornReadRun Buggy = runStampBeforeFlagSchedule(/*InjectOldBug=*/true);
+  EXPECT_FALSE(Buggy.Stalled);
+  EXPECT_TRUE(Buggy.Torn)
+      << "schedule no longer catches the stamp-before-flag window";
+}
+
+/// Owned-word ABA: the owned word names the owner, not the acquisition. The
+/// reader takes X's old value under W's first acquisition; W commits
+/// X = Y = 1 and takes both stripes again, writing the same owned word;
+/// the reader then reads Y = 1 (the second acquisition's old value).
+/// Its revalidation sees X's owned word unchanged — only the episode
+/// tells the two acquisitions apart.
+///
+///   W(0): txn 1 acquires X, Y                  | parked at Read(spare 0)
+///   R(1): Begin, Read(X) = 0                   | parked at Read(Y)
+///   W(0): txn 1 commits; txn 2 acquires X, Y   | parked at Read(spare 1)
+///   R(1): Read(Y) = 1, revalidate: honest -> abort, retry reads 1, 1;
+///         injected -> passes with the torn pair | parked at Commit
+///   tail: W commits txn 2, R commits
+TornReadRun runEpisodeSchedule(bool InjectOldBug) {
+  return runTornReadSchedule(
+      InjectOldBug ? std::optional(stm::diag::Inject::RstmEpisodeSkip)
+                   : std::nullopt,
+      /*WriterTxns=*/2,
+      [](uint64_t StripeY, uint64_t StripeSpare0, uint64_t StripeSpare1) {
+        std::vector<Step> Steps;
+        Steps.push_back(untilStep(0, HookKind::Read, StripeSpare0));
+        Steps.push_back(untilStep(1, HookKind::Read, StripeY));
+        Steps.push_back(untilStep(0, HookKind::Read, StripeSpare1));
+        Steps.push_back(untilStep(1, HookKind::Commit));
+        return Steps;
+      });
+}
+
+TEST(DiagReplayTest, RstmOwnedWordEpisodeRegression) {
+  TornReadRun Fixed = runEpisodeSchedule(/*InjectOldBug=*/false);
+  EXPECT_FALSE(Fixed.Stalled);
+  EXPECT_FALSE(Fixed.Torn)
+      << "an old value of one acquisition survived the owner's next one";
+  EXPECT_EQ(2u, Fixed.X);
+  EXPECT_EQ(2u, Fixed.Y);
+
+  TornReadRun Buggy = runEpisodeSchedule(/*InjectOldBug=*/true);
+  EXPECT_FALSE(Buggy.Stalled);
+  EXPECT_TRUE(Buggy.Torn)
+      << "schedule no longer catches the owned-word ABA";
+}
+
+//===----------------------------------------------------------------------===//
 // Orec irrevocability: token drain vs. a committer parked mid-commit
 //===----------------------------------------------------------------------===//
 
@@ -776,24 +968,17 @@ TEST(DiagReplayTest, OrecIrrevocableDrainVsParkedCommitter) {
   alignas(64) static stm::Word Y;
   X = Y = 0;
 
-  auto Until = [](uint32_t Tid, HookKind Kind) {
-    Step St;
-    St.Tid = Tid;
-    St.Kind = Kind;
-    St.Until = true;
-    return St;
-  };
   std::vector<Step> Steps;
   // T0 acquires X's orec at encounter time and parks at the
   // commit-stamp hook: locks held, epoch pinned, commit unfinished.
-  Steps.push_back(Until(0, HookKind::CommitStamp));
+  Steps.push_back(untilStep(0, HookKind::CommitStamp));
   // T1 aborts on the foreign orec, retries over the threshold, takes
   // the token, and parks at the first drain-wait iteration.
-  Steps.push_back(Until(1, HookKind::Switch));
+  Steps.push_back(untilStep(1, HookKind::Switch));
   // T0 runs to completion (Retire never fires without pending frees:
   // this degenerates to "finish the thread") — releasing X and
   // unpinning its slot.
-  Steps.push_back(Until(0, HookKind::Retire));
+  Steps.push_back(untilStep(0, HookKind::Retire));
   // Steps exhausted: the round-robin tail drains T1 out of the wait
   // loop and through its irrevocable run.
 

@@ -100,8 +100,9 @@ TEST(RequestQueueTest, ConcurrentProducersNothingLostOrDuplicated) {
     unsigned P = static_cast<unsigned>(V >> 32);
     ASSERT_LT(P, Producers);
     uint64_t S = V & 0xffffffffu;
-    if (PerProducerSeen[P] > 0)
+    if (PerProducerSeen[P] > 0) {
       ASSERT_GT(S, PrevSeq[P]) << "producer " << P << " reordered";
+    }
     PrevSeq[P] = S;
     ++PerProducerSeen[P];
   }

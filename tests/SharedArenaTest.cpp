@@ -298,8 +298,9 @@ TEST(SharedArenaSegmentTest, LayoutMismatchAbortsTheAttacher) {
   EXPECT_TRUE(WIFSIGNALED(Status))
       << "mismatched attacher must abort, not run (exit "
       << (WIFEXITED(Status) ? WEXITSTATUS(Status) : -1) << ")";
-  if (WIFSIGNALED(Status))
+  if (WIFSIGNALED(Status)) {
     EXPECT_EQ(WTERMSIG(Status), SIGABRT);
+  }
   StmRuntime::globalShutdown();
   SharedArena::unlinkSegment(Name);
 }
